@@ -5,13 +5,16 @@ let solve ?(prec = Precision.Double) ?precond
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
   let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"bicgstab" a b config in
   let sguard = Option.map Solver.guard refresh_precond in
-  let started = Sys.time () in
+  let started = Wall_clock.now () in
   let n = Array.length b in
   let x = Vector.create n in
   let r = Vector.copy b in
   let rstar = Vector.copy r in
   let p = Vector.create n in
   let v = Vector.create n in
+  (* Per-solve workspaces: the iteration allocates nothing of size n. *)
+  let s = Vector.create n and t = Vector.create n in
+  let single = prec = Precision.Single in
   let rho = ref 1.0 and alpha = ref 1.0 and om = ref 1.0 in
   let iters = ref 0 in
   let outcome = ref None in
@@ -34,10 +37,10 @@ let solve ?(prec = Precision.Double) ?precond
   let rearm () =
     if Array.exists (fun v -> not (Float.is_finite v)) x then
       Vector.fill x 0.0;
-    let ax = ctx.Solver.spmv x in
+    ctx.Solver.spmv x t;
     incr iters;
     Vector.blit ~src:b ~dst:r;
-    Vector.axpy ~prec (-1.0) ax r;
+    Vector.axpy ~prec (-1.0) t r;
     Vector.blit ~src:r ~dst:rstar;
     Vector.fill p 0.0;
     Vector.fill v 0.0;
@@ -58,23 +61,30 @@ let solve ?(prec = Precision.Double) ?precond
     let rho1 = Vector.dot ~prec rstar r in
     if rho1 = 0.0 then outcome := Some (Solver.Breakdown "rho = 0")
     else begin
-      let beta = Precision.mul prec (rho1 /. !rho) (!alpha /. !om) in
-      (* p = r + beta (p - om v) *)
+      (* [Precision.mul] and the two [Precision.fma]s of
+         p = r + beta (p - om v), spelled out inline as in the [Vector]
+         kernels.  Computed here, [beta] stays unboxed, so ocamlopt keeps
+         it the left operand of [beta *. q] and its NaN wins over [q]'s,
+         as in [Precision.fma] (DESIGN §5i). *)
+      let beta =
+        let q = (rho1 /. !rho) *. (!alpha /. !om) in
+        if single then Int32.float_of_bits (Int32.bits_of_float q) else q
+      in
+      let om' = -. !om in
       for i = 0 to n - 1 do
-        p.(i) <-
-          Precision.fma prec beta
-            (Precision.fma prec (-. !om) v.(i) p.(i))
-            r.(i)
+        let q = (om' *. v.(i)) +. p.(i) in
+        let q = if single then Int32.float_of_bits (Int32.bits_of_float q) else q in
+        let q = (beta *. q) +. r.(i) in
+        p.(i) <- (if single then Int32.float_of_bits (Int32.bits_of_float q) else q)
       done;
       let phat = apply_m p in
-      let v' = ctx.Solver.spmv phat in
+      ctx.Solver.spmv phat v;
       incr iters;
-      Array.blit v' 0 v 0 n;
       let denom = Vector.dot ~prec rstar v in
       if denom = 0.0 then outcome := Some (Solver.Breakdown "r*ᵀv = 0")
       else begin
         alpha := Precision.div prec rho1 denom;
-        let s = Vector.copy r in
+        Vector.blit ~src:r ~dst:s;
         Vector.axpy ~prec (-. !alpha) v s;
         let snorm = Vector.nrm2 ~prec s in
         if snorm <= ctx.Solver.target then begin
@@ -84,7 +94,7 @@ let solve ?(prec = Precision.Double) ?precond
         end
         else begin
           let shat = apply_m s in
-          let t = ctx.Solver.spmv shat in
+          ctx.Solver.spmv shat t;
           incr iters;
           let tt = Vector.dot ~prec t t in
           if tt = 0.0 then outcome := Some (Solver.Breakdown "t = 0")

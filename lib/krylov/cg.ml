@@ -5,13 +5,17 @@ let solve ?(prec = Precision.Double) ?precond
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
   let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"cg" a b config in
   let sguard = Option.map Solver.guard refresh_precond in
-  let started = Sys.time () in
+  let started = Wall_clock.now () in
   let n = Array.length b in
   let x = Vector.create n in
   let r = Vector.copy b in
   let z = Preconditioner.apply ctx.Solver.precond r in
   let p = Vector.copy z in
   let rz = ref (Vector.dot ~prec r z) in
+  (* Per-solve workspace for A·p: the iteration allocates nothing of size
+     n outside the preconditioner. *)
+  let ap = Vector.create n in
+  let single = prec = Precision.Single in
   let iters = ref 0 in
   let outcome = ref None in
   Solver.record ctx (Vector.nrm2 ~prec r);
@@ -31,10 +35,10 @@ let solve ?(prec = Precision.Double) ?precond
   let rearm () =
     if Array.exists (fun v -> not (Float.is_finite v)) x then
       Vector.fill x 0.0;
-    let ax = ctx.Solver.spmv x in
+    ctx.Solver.spmv x ap;
     incr iters;
     Vector.blit ~src:b ~dst:r;
-    Vector.axpy ~prec (-1.0) ax r;
+    Vector.axpy ~prec (-1.0) ap r;
     let z = Preconditioner.apply ctx.Solver.precond r in
     Vector.blit ~src:z ~dst:p;
     rz := Vector.dot ~prec r z;
@@ -49,7 +53,7 @@ let solve ?(prec = Precision.Double) ?precond
     again := false;
     try
       while !outcome = None do
-        let ap = ctx.Solver.spmv p in
+        ctx.Solver.spmv p ap;
         incr iters;
         let pap = Vector.dot ~prec p ap in
         if pap = 0.0 then outcome := Some (Solver.Breakdown "pᵀAp = 0")
@@ -71,8 +75,14 @@ let solve ?(prec = Precision.Double) ?precond
               else begin
                 let beta = Precision.div prec rz' !rz in
                 rz := rz';
+                (* [Precision.fma] spelled out inline, as in the
+                   [Vector] kernels; [unsafe_get] keeps [beta] the left
+                   operand of the product, as explained there. *)
                 for i = 0 to n - 1 do
-                  p.(i) <- Precision.fma prec beta p.(i) z.(i)
+                  let q = (beta *. Array.unsafe_get p i) +. z.(i) in
+                  p.(i) <-
+                    (if single then Int32.float_of_bits (Int32.bits_of_float q)
+                     else q)
                 done
               end
             end

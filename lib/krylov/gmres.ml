@@ -6,10 +6,15 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
   if restart < 1 then invalid_arg "Gmres.solve: restart < 1";
   let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"gmres" a b config in
   let sguard = Option.map Solver.guard refresh_precond in
-  let started = Sys.time () in
+  let started = Wall_clock.now () in
   let n = Array.length b in
   let m = restart in
   let x = Vector.create n in
+  (* Per-solve workspaces: the Krylov basis, the residual, the operator
+     output [w] and the correction [z] are reused by every cycle. *)
+  let v = Array.init (m + 1) (fun _ -> Vector.create n) in
+  let r = Vector.create n and w = Vector.create n and z = Vector.create n in
+  let single = prec = Precision.Single in
   let iters = ref 0 in
   let outcome = ref None in
   let apply_m y = Preconditioner.apply ctx.Solver.precond y in
@@ -29,14 +34,14 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
        next cycle restarts naturally from the current iterate with the
        fresh preconditioner — GMRES's own restart is the re-arm. *)
     try
-    let r = Vector.sub ~prec b (ctx.Solver.spmv x) in
+    ctx.Solver.spmv x w;
+    Vector.sub_into ~prec b w r;
     let beta = Vector.nrm2 ~prec r in
     Solver.record ctx beta;
     if beta <= ctx.Solver.target then outcome := Some Solver.Converged
     else begin
       check_guard beta;
-      let v = Array.make (m + 1) [||] in
-      v.(0) <- Vector.copy r;
+      Vector.blit ~src:r ~dst:v.(0);
       Vector.scal ~prec (1.0 /. beta) v.(0);
       let h = Array.make_matrix (m + 1) m 0.0 in
       (* Givens rotation coefficients and the transformed rhs. *)
@@ -48,7 +53,7 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
       let exhausted = ref false in
       while (not !cycle_done) && !outcome = None do
         let jj = !j in
-        let w = ctx.Solver.spmv (apply_m v.(jj)) in
+        ctx.Solver.spmv (apply_m v.(jj)) w;
         incr iters;
         (* Modified Gram-Schmidt. *)
         for i = 0 to jj do
@@ -57,7 +62,7 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
         done;
         h.(jj + 1).(jj) <- Vector.nrm2 ~prec w;
         if h.(jj + 1).(jj) <> 0.0 then begin
-          v.(jj + 1) <- Vector.copy w;
+          Vector.blit ~src:w ~dst:v.(jj + 1);
           Vector.scal ~prec (1.0 /. h.(jj + 1).(jj)) v.(jj + 1)
         end
         else
@@ -99,15 +104,19 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
       (* Back-substitute and update x through the preconditioner. *)
       let k = !j in
       if k > 0 then begin
+        (* [Precision.fma]/[div] spelled out inline, as in the [Vector]
+           kernels. *)
         let y = Array.make k 0.0 in
         for i = k - 1 downto 0 do
           let acc = ref g.(i) in
           for l = i + 1 to k - 1 do
-            acc := Precision.fma prec (-.h.(i).(l)) y.(l) !acc
+            let q = (-.h.(i).(l) *. y.(l)) +. !acc in
+            acc := if single then Int32.float_of_bits (Int32.bits_of_float q) else q
           done;
-          y.(i) <- Precision.div prec !acc h.(i).(i)
+          let q = !acc /. h.(i).(i) in
+          y.(i) <- (if single then Int32.float_of_bits (Int32.bits_of_float q) else q)
         done;
-        let z = Vector.create n in
+        Vector.fill z 0.0;
         for i = 0 to k - 1 do
           Vector.axpy ~prec y.(i) v.(i) z
         done;
@@ -120,7 +129,8 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
          operators). *)
       (match !outcome with
       | Some Solver.Converged ->
-        let r = Vector.sub ~prec b (ctx.Solver.spmv x) in
+        ctx.Solver.spmv x w;
+        Vector.sub_into ~prec b w r;
         if Vector.nrm2 ~prec r > ctx.Solver.target then
           if !exhausted then
             outcome :=

@@ -19,18 +19,21 @@ let shadow_space ~prec ~seed n s =
   cols
 
 (* Forward substitution with the lower-triangular trailing block
-   ms(k.., k..) — the small system of the biortho variant. *)
-let solve_lower ~prec ms f k s =
-  let c = Array.make (s - k) 0.0 in
+   ms(k.., k..) — the small system of the biortho variant — into
+   c.(0 .. s-k-1).  [Precision.fma]/[div] are spelled out inline with the
+   precision test hoisted, as in the [Vector] kernels. *)
+let solve_lower ~prec ms f k s c =
+  let single = prec = Precision.Single in
   for i = k to s - 1 do
     let acc = ref f.(i) in
     for j = k to i - 1 do
-      acc := Precision.fma prec (-.ms.(i).(j)) c.(j - k) !acc
+      let r = (-.ms.(i).(j) *. c.(j - k)) +. !acc in
+      acc := if single then Int32.float_of_bits (Int32.bits_of_float r) else r
     done;
     if ms.(i).(i) = 0.0 then raise Exit;
-    c.(i - k) <- Precision.div prec !acc ms.(i).(i)
-  done;
-  c
+    let q = !acc /. ms.(i).(i) in
+    c.(i - k) <- (if single then Int32.float_of_bits (Int32.bits_of_float q) else q)
+  done
 
 let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
     ?(smoothing = false) ?(config = Solver.default_config) ?refresh_precond
@@ -38,13 +41,20 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
   if s < 1 then invalid_arg "Idr.solve: s < 1";
   let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"idr" a b config in
   let sguard = Option.map Solver.guard refresh_precond in
-  let started = Sys.time () in
+  let started = Wall_clock.now () in
   let n = Array.length b in
+  let single = prec = Precision.Single in
   let x = Vector.create n in
   let r = Vector.copy b in
   let p = shadow_space ~prec ~seed n s in
   let g = Array.init s (fun _ -> Vector.create n) in
   let u = Array.init s (fun _ -> Vector.create n) in
+  (* Per-solve workspaces: the iteration allocates nothing of size n.  The
+     new direction is built in the spare pair and swapped into
+     [u.(k)]/[g.(k)]; the buffers it replaces become the next spare pair. *)
+  let v = Vector.create n and t = Vector.create n in
+  let spare_u = ref (Vector.create n) and spare_g = ref (Vector.create n) in
+  let f = Array.make s 0.0 and c = Array.make s 0.0 in
   (* ms is the s×s biorthogonality matrix, lower triangular by
      construction; start from the identity. *)
   let ms = Array.init s (fun i -> Array.init s (fun j -> if i = j then 1.0 else 0.0)) in
@@ -52,17 +62,20 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
   let iters = ref 0 in
   let rnorm = ref (Vector.nrm2 ~prec r) in
   (* Optional QMR-style smoothing: (xs, rs) is the returned pair and the
-     pair the stopping test sees; eta minimizes ‖rs + eta (r - rs)‖. *)
-  let xs = Vector.copy x and rs = Vector.copy r in
+     pair the stopping test sees; eta minimizes ‖rs + eta (r - rs)‖.  [d]
+     holds rs - r, then xs - x. *)
+  let xs = if smoothing then Vector.copy x else [||]
+  and rs = if smoothing then Vector.copy r else [||]
+  and d = if smoothing then Vector.create n else [||] in
   let smooth () =
     if smoothing then begin
-      let d = Vector.sub ~prec rs r in
+      Vector.sub_into ~prec rs r d;
       let dd = Vector.dot ~prec d d in
       if dd > 0.0 then begin
         let eta = Precision.div prec (Vector.dot ~prec rs d) dd in
         Vector.axpy ~prec (-.eta) d rs;
-        let dx = Vector.sub ~prec xs x in
-        Vector.axpy ~prec (-.eta) dx xs
+        Vector.sub_into ~prec xs x d;
+        Vector.axpy ~prec (-.eta) d xs
       end;
       rnorm := Vector.nrm2 ~prec rs
     end
@@ -86,21 +99,23 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
   let rearm () =
     if Array.exists (fun v -> not (Float.is_finite v)) x then
       Vector.fill x 0.0;
-    let ax = ctx.Solver.spmv x in
+    ctx.Solver.spmv x t;
     incr iters;
     Vector.blit ~src:b ~dst:r;
-    Vector.axpy ~prec (-1.0) ax r;
+    Vector.axpy ~prec (-1.0) t r;
     for i = 0 to s - 1 do
-      g.(i) <- Vector.create n;
-      u.(i) <- Vector.create n;
+      Vector.fill g.(i) 0.0;
+      Vector.fill u.(i) 0.0;
       for j = 0 to s - 1 do
         ms.(i).(j) <- (if i = j then 1.0 else 0.0)
       done
     done;
     om := 1.0;
     rnorm := Vector.nrm2 ~prec r;
-    Vector.blit ~src:x ~dst:xs;
-    Vector.blit ~src:r ~dst:rs;
+    if smoothing then begin
+      Vector.blit ~src:x ~dst:xs;
+      Vector.blit ~src:r ~dst:rs
+    end;
     Solver.record ctx !rnorm;
     if !rnorm <= ctx.Solver.target then outcome := Some Solver.Converged
     else if !iters >= config.Solver.max_iters then
@@ -112,31 +127,31 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
        again := false;
        try
          while !outcome = None do
-       let f = Array.init s (fun i -> Vector.dot ~prec p.(i) r) in
+       for i = 0 to s - 1 do
+         f.(i) <- Vector.dot ~prec p.(i) r
+       done;
        let k = ref 0 in
        while !outcome = None && !k < s do
          let kk = !k in
-         let c =
-           match solve_lower ~prec ms f kk s with
-           | c -> c
-           | exception Exit ->
-             outcome := Some (Solver.Breakdown "singular biortho system");
-             [||]
-         in
+         (match solve_lower ~prec ms f kk s c with
+         | () -> ()
+         | exception Exit ->
+           outcome := Some (Solver.Breakdown "singular biortho system"));
          if !outcome = None then begin
            (* v = r - Σ c_i g_i over the trailing directions. *)
-           let v = Vector.copy r in
+           Vector.blit ~src:r ~dst:v;
            for i = kk to s - 1 do
              Vector.axpy ~prec (-.c.(i - kk)) g.(i) v
            done;
            let vhat = apply_m v in
            (* u_k = om * vhat + Σ c_i u_i. *)
-           let uk = Vector.copy vhat in
+           let uk = !spare_u and gk = !spare_g in
+           Vector.blit ~src:vhat ~dst:uk;
            Vector.scal ~prec !om uk;
            for i = kk to s - 1 do
              Vector.axpy ~prec c.(i - kk) u.(i) uk
            done;
-           let gk = ctx.Solver.spmv uk in
+           ctx.Solver.spmv uk gk;
            incr iters;
            (* Bi-orthogonalize the new direction against p_0..p_{k-1}. *)
            for i = 0 to kk - 1 do
@@ -146,6 +161,8 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
              Vector.axpy ~prec (-.alpha) g.(i) gk;
              Vector.axpy ~prec (-.alpha) u.(i) uk
            done;
+           spare_u := u.(kk);
+           spare_g := g.(kk);
            u.(kk) <- uk;
            g.(kk) <- gk;
            for i = kk to s - 1 do
@@ -165,7 +182,8 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
                outcome := Some Solver.Max_iterations;
              if !outcome = None then check_guard ();
              for i = kk + 1 to s - 1 do
-               f.(i) <- Precision.fma prec (-.beta) ms.(i).(kk) f.(i)
+               let q = (-.beta *. ms.(i).(kk)) +. f.(i) in
+               f.(i) <- (if single then Int32.float_of_bits (Int32.bits_of_float q) else q)
              done;
              f.(kk) <- 0.0
            end;
@@ -175,7 +193,7 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
        if !outcome = None then begin
          (* Dimension-reduction step into the next Sonneveld space. *)
          let vhat = apply_m r in
-         let t = ctx.Solver.spmv vhat in
+         ctx.Solver.spmv vhat t;
          incr iters;
          let tt = Vector.dot ~prec t t in
          let tr = Vector.dot ~prec t r in

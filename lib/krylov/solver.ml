@@ -34,7 +34,7 @@ let pp_stats ppf s =
 
 type ctx = {
   prec : Precision.t;
-  spmv : Vector.t -> Vector.t;
+  spmv : Vector.t -> Vector.t -> unit;
   mutable precond : Preconditioner.t;
   b_norm : float;
   target : float;
@@ -57,7 +57,7 @@ let make_ctx ?(prec = Precision.Double) ?precond ?obs ?(name = "krylov")
   let b_norm = Vector.nrm2 ~prec b in
   {
     prec;
-    spmv = (fun x -> Vblu_sparse.Csr.spmv ~prec a x);
+    spmv = (fun x y -> Vblu_sparse.Csr.spmv_into ~prec a x y);
     precond;
     b_norm;
     target = cfg.rtol *. b_norm;
@@ -167,6 +167,6 @@ let finish ctx ~outcome ~iterations ~x ~b ~started ~a =
     iterations;
     residual_norm;
     rhs_norm = ctx.b_norm;
-    solve_seconds = Sys.time () -. started;
+    solve_seconds = Wall_clock.since started;
     history = Array.of_list (List.rev ctx.recorded);
   }

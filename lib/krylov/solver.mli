@@ -28,7 +28,7 @@ type stats = {
   iterations : int;  (** matrix-vector products with [A] consumed. *)
   residual_norm : float;  (** final true-residual 2-norm. *)
   rhs_norm : float;
-  solve_seconds : float;
+  solve_seconds : float;  (** wall time of the solve ({!Vblu_precond.Wall_clock}). *)
   history : float array;  (** residual norms, if recorded. *)
 }
 
@@ -40,7 +40,9 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type ctx = {
   prec : Precision.t;
-  spmv : Vector.t -> Vector.t;  (** the operator. *)
+  spmv : Vector.t -> Vector.t -> unit;
+      (** the operator: [spmv x y] overwrites [y] with [A·x] ([y] must
+          not alias [x]). *)
   mutable precond : Preconditioner.t;
       (** mutable so the soft-error {!guard} can swap in a freshly built
           preconditioner mid-solve. *)

@@ -16,6 +16,6 @@ let apply t r =
   t.apply r
 
 let timed f =
-  let t0 = Sys.time () in
+  let t0 = Wall_clock.now () in
   let x = f () in
-  (x, Sys.time () -. t0)
+  (x, Wall_clock.since t0)

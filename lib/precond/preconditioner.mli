@@ -10,7 +10,7 @@ open Vblu_smallblas
 type t = {
   name : string;  (** e.g. ["block-jacobi(lu,32)"]. *)
   dim : int;  (** operand length. *)
-  setup_seconds : float;  (** time spent building the operator. *)
+  setup_seconds : float;  (** wall time spent building the operator. *)
   apply : Vector.t -> Vector.t;
       (** [apply r] returns [M⁻¹ r]; must not modify [r]. *)
 }
@@ -23,5 +23,6 @@ val apply : t -> Vector.t -> Vector.t
     @raise Invalid_argument on a length mismatch. *)
 
 val timed : (unit -> 'a) -> 'a * float
-(** [timed f] runs [f] and reports elapsed processor time in seconds —
-    the clock used for every setup/solve time in the reproduction. *)
+(** [timed f] runs [f] and reports its elapsed wall time in seconds, read
+    from {!Wall_clock} — the clock used for every setup/solve time in the
+    reproduction. *)

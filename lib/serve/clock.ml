@@ -3,11 +3,11 @@ type t =
   | System of { epoch : float }
 
 let manual ?(start = 0.0) () = Manual { now = start }
-let system () = System { epoch = Sys.time () }
+let system () = System { epoch = Vblu_precond.Wall_clock.now () }
 
 let now = function
   | Manual m -> m.now
-  | System s -> Sys.time () -. s.epoch
+  | System s -> Vblu_precond.Wall_clock.since s.epoch
 
 let advance t dt =
   if (not (Float.is_finite dt)) || dt < 0.0 then

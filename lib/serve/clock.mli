@@ -8,7 +8,7 @@
     each dispatch window plus the modelled execution time of the launch
     it just made, turning the performance model into the service's
     notion of load); the {!system} clock is for interactive serving and
-    follows the process clock. *)
+    follows the host wall clock. *)
 
 type t
 
@@ -17,9 +17,9 @@ val manual : ?start:float -> unit -> t
     {!advance}. *)
 
 val system : unit -> t
-(** Follows [Sys.time] (processor time — the clock the rest of the
-    reproduction uses for wall measurements).  {!advance} is a no-op on
-    it: real time cannot be steered. *)
+(** Follows the host wall clock ({!Vblu_precond.Wall_clock}, the clock
+    the rest of the reproduction uses for wall measurements).  {!advance}
+    is a no-op on it: real time cannot be steered. *)
 
 val now : t -> float
 (** Current time in seconds. *)

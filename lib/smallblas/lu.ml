@@ -172,7 +172,11 @@ let factor_nopivot ?prec m =
    n-by-n block living at [off] inside a batch value array — no [Matrix]
    wrapper, no allocation.  Each element sees the same once-rounded
    [Precision] op sequence as under the warp interpreter, so outputs are
-   bitwise identical to a simulated execution. *)
+   bitwise identical to a simulated execution.  The ops are spelled out
+   inline with the precision test hoisted out of the loops (rounding
+   through binary32 only when [single]): a cross-module [Precision] call
+   here would box every element, since dev builds compile each module
+   [-opaque]. *)
 
 let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
     ~off ~n ~tile ~step ~perm () =
@@ -180,6 +184,7 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
      interleaved layouts): element e of the block lives at
      [off + stride*e].  The gather packs the block contiguously so the
      elimination runs stride-free; only the copy edges are strided. *)
+  let single = prec = Precision.Single in
   for e = 0 to (n * n) - 1 do
     tile.(e) <- src.(off + (stride * e))
   done;
@@ -203,13 +208,16 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
          raise Exit
        end;
        step.(!piv) <- k;
+       let p = !piv in
        for r = 0 to n - 1 do
          if step.(r) < 0 then begin
-           let l = Precision.div prec tile.(r + (k * n)) d in
+           let q = tile.(r + (k * n)) /. d in
+           let l = if single then Int32.float_of_bits (Int32.bits_of_float q) else q in
            tile.(r + (k * n)) <- l;
            for j = k + 1 to n - 1 do
+             let x = (-.l *. tile.(p + (j * n))) +. tile.(r + (j * n)) in
              tile.(r + (j * n)) <-
-               Precision.fma prec (-.l) tile.(!piv + (j * n)) tile.(r + (j * n))
+               (if single then Int32.float_of_bits (Int32.bits_of_float x) else x)
            done
          end
        done
@@ -242,26 +250,31 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
     for e = 0 to (n * n) - 1 do
       dst.(off + (stride * e)) <- src.(off + (stride * e))
     done;
-  let at i j = off + (stride * (i + (j * n))) in
+  (* Element (i, j) of the block is [dst.(off + stride * i + cs * j)]. *)
+  let single = prec = Precision.Single in
+  let cs = stride * n in
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
-       let d = dst.(at k k) in
+       let d = dst.(off + (stride * k) + (cs * k)) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
        for i = k + 1 to n - 1 do
-         dst.(at i k) <- Precision.div prec dst.(at i k) d
+         let e = off + (stride * i) + (cs * k) in
+         let q = dst.(e) /. d in
+         dst.(e) <- (if single then Int32.float_of_bits (Int32.bits_of_float q) else q)
        done;
        for j = k + 1 to n - 1 do
          (* No [ukj <> 0.0] skip here: the warp kernel issues the FMA
             unconditionally, and for non-finite multipliers the skipped and
             issued forms differ bitwise. *)
-         let ukj = dst.(at k j) in
+         let ukj = dst.(off + (stride * k) + (cs * j)) in
          for i = k + 1 to n - 1 do
-           dst.(at i j) <-
-             Precision.fma prec (-.dst.(at i k)) ukj dst.(at i j)
+           let e = off + (stride * i) + (cs * j) in
+           let x = (-.dst.(off + (stride * i) + (cs * k)) *. ukj) +. dst.(e) in
+           dst.(e) <- (if single then Int32.float_of_bits (Int32.bits_of_float x) else x)
          done
        done
      done

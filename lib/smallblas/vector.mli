@@ -44,6 +44,11 @@ val axpy : ?prec:Precision.t -> float -> t -> t -> unit
 val add : ?prec:Precision.t -> t -> t -> t
 val sub : ?prec:Precision.t -> t -> t -> t
 
+val sub_into : ?prec:Precision.t -> t -> t -> t -> unit
+(** [sub_into x y dst] writes [x - y] into [dst] (which may alias [x] or
+    [y]); the same values as {!sub}.  @raise Invalid_argument on
+    dimension mismatch. *)
+
 val map : (float -> float) -> t -> t
 
 val max_abs_diff : t -> t -> float

@@ -93,10 +93,15 @@ let to_dense t =
 let spmv_into ?(prec = Precision.Double) t x y =
   if Array.length x <> t.n_cols || Array.length y <> t.n_rows then
     invalid_arg "Csr.spmv: dimension mismatch";
+  (* [Precision.fma] spelled out inline, with the precision test hoisted
+     out of the loop: a cross-module call here would box every operand. *)
+  let single = prec = Precision.Single in
+  let values = t.values and col_idx = t.col_idx and row_ptr = t.row_ptr in
   for i = 0 to t.n_rows - 1 do
     let acc = ref 0.0 in
-    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      acc := Precision.fma prec t.values.(k) x.(t.col_idx.(k)) !acc
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let r = (values.(k) *. x.(col_idx.(k))) +. !acc in
+      acc := if single then Int32.float_of_bits (Int32.bits_of_float r) else r
     done;
     y.(i) <- !acc
   done

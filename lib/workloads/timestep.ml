@@ -114,7 +114,7 @@ let run ?pool ?(nx = 24) ?(ny = 24) ?(peclet = 10.0) ?(drift = 0.05)
     ?(layout = Vblu_core.Batch.Blocked) ?config ?obs () =
   if steps < 1 then invalid_arg "Timestep.run: steps < 1";
   let n = nx * ny in
-  let t0 = Sys.time () in
+  let t0 = Vblu_precond.Wall_clock.now () in
   let a0 = matrix ~nx ~ny ~peclet ~drift ~step:0 () in
   let h =
     match family with
@@ -223,5 +223,5 @@ let run ?pool ?(nx = 24) ?(ny = 24) ?(peclet = 10.0) ?(drift = 0.05)
       Array.fold_left (fun acc s -> acc + s.iterations) 0 steps_arr;
     final_residual = !final_residual;
     solution_checksum = !checksum;
-    elapsed_seconds = Sys.time () -. t0;
+    elapsed_seconds = Vblu_precond.Wall_clock.since t0;
   }

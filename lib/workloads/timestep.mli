@@ -85,7 +85,7 @@ type result = {
   solution_checksum : float;
       (** sum of |x_k|₁ over all steps — the cross-configuration
           equality witness. *)
-  elapsed_seconds : float;
+  elapsed_seconds : float;  (** host wall time of the whole run. *)
 }
 
 val run :

@@ -221,6 +221,42 @@ let test_solvers_agree () =
   Alcotest.(check bool) "idr = gmres" true
     (Vector.max_abs_diff x3 x2 /. scale < 1e-6)
 
+(* Host timers read the wall clock: with two domains busy at once, the
+   seconds a setup or a solve reports never exceed the wall time measured
+   around it (processor time summed over the domains would be about twice
+   it). *)
+let test_wall_clock_under_domains () =
+  let pool = Vblu_par.Pool.create ~num_domains:2 () in
+  let busy () =
+    Vblu_par.Pool.parallel_for pool ~lo:0 ~hi:2 (fun _ ->
+        let acc = ref 0.0 in
+        for i = 1 to 10_000_000 do
+          acc := !acc +. float_of_int i
+        done;
+        ignore (Sys.opaque_identity !acc))
+  in
+  let around f =
+    let t0 = Wall_clock.now () in
+    let r = f () in
+    (r, Wall_clock.since t0)
+  in
+  let ((), setup), wall = around (fun () -> Preconditioner.timed busy) in
+  Alcotest.(check bool)
+    (Printf.sprintf "setup %.3fs <= wall %.3fs" setup wall)
+    true (setup <= wall);
+  let a, b = spd_system 15 in
+  let n, _ = Csr.dims a in
+  let precond =
+    { Preconditioner.name = "busy"; dim = n; setup_seconds = 0.0;
+      apply = (fun r -> busy (); Vector.copy r) }
+  in
+  let config = { Solver.default_config with Solver.max_iters = 3 } in
+  let (_, stats), wall = around (fun () -> Idr.solve ~config ~precond a b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "solve %.3fs <= wall %.3fs" stats.Solver.solve_seconds wall)
+    true
+    (stats.Solver.solve_seconds <= wall)
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
@@ -279,6 +315,8 @@ let () =
           Alcotest.test_case "dimension mismatch" `Quick test_dimension_mismatch;
           Alcotest.test_case "true residual" `Quick
             test_final_residual_is_true_residual;
+          Alcotest.test_case "wall clock under domains" `Quick
+            test_wall_clock_under_domains;
         ] );
       ("properties", qcheck_tests);
     ]
