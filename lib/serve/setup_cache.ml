@@ -1,12 +1,7 @@
 open Vblu_sparse
 
-type jacobi_entry = {
-  j_values : float array;
-  j_factors : (Vblu_smallblas.Matrix.t * int array) option array;
-}
-
 type data =
-  | Jacobi of jacobi_entry
+  | Jacobi of Vblu_precond.Block_jacobi.handle
   | Ilu0 of Vblu_precond.Block_ilu0.handle
 
 type entry = {
@@ -64,12 +59,10 @@ let store t ~tag ~max_block_size (a : Csr.t) data =
 
 let find_jacobi t ~a ~max_block_size =
   match find t ~tag:0 ~max_block_size a with
-  | Some { e_data = Jacobi e; _ } -> Some e
+  | Some { e_data = Jacobi h; _ } -> Some h
   | _ -> None
 
-let store_jacobi t ~a ~max_block_size factors =
-  store t ~tag:0 ~max_block_size a
-    (Jacobi { j_values = Array.copy a.Csr.values; j_factors = factors })
+let store_jacobi t ~a ~max_block_size h = store t ~tag:0 ~max_block_size a (Jacobi h)
 
 let find_ilu0 t ~a ~max_block_size =
   match find t ~tag:1 ~max_block_size a with

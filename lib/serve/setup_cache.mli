@@ -6,9 +6,9 @@
     and keeps the previous setup alive so the next wave refactors only
     what moved (see {!Vblu_precond.Block_jacobi.update}):
 
-    - block-Jacobi entries hold the value snapshot plus the per-block
-      factors of the last wave; clean blocks skip the coalesced LU
-      launch entirely;
+    - block-Jacobi entries hold a live {!Vblu_precond.Block_jacobi.handle}
+      whose next coalesced [refresh] refactors only the drifted blocks;
+      clean blocks skip the LU launch entirely;
     - block-ILU(0) entries hold a live {!Vblu_precond.Block_ilu0.handle}
       whose [update ~tol:0.] re-eliminates only the dirty DAG closure.
 
@@ -24,21 +24,11 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 256 fingerprints. *)
 
-type jacobi_entry = {
-  j_values : float array;  (** CSR value snapshot of the cached wave. *)
-  j_factors : (Vblu_smallblas.Matrix.t * int array) option array;
-      (** per-block packed LU + pivots; [None] = block broke down or was
-          fault-flagged, so it must refactor. *)
-}
-
-val find_jacobi : t -> a:Csr.t -> max_block_size:int -> jacobi_entry option
+val find_jacobi :
+  t -> a:Csr.t -> max_block_size:int -> Vblu_precond.Block_jacobi.handle option
 
 val store_jacobi :
-  t ->
-  a:Csr.t ->
-  max_block_size:int ->
-  (Vblu_smallblas.Matrix.t * int array) option array ->
-  unit
+  t -> a:Csr.t -> max_block_size:int -> Vblu_precond.Block_jacobi.handle -> unit
 
 val find_ilu0 :
   t -> a:Csr.t -> max_block_size:int -> Vblu_precond.Block_ilu0.handle option
