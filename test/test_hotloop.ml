@@ -377,11 +377,6 @@ let golden_solves =
       fun () ->
         let a, b = suite_system "cage10" in
         Gmres.solve ~config:capped ~precond:(bj a) a b );
-    ( "cg laplacian",
-      fun () ->
-        let a = Vblu_workloads.Generators.laplacian_2d ~nx:32 ~ny:32 () in
-        let b = Array.init 1024 (fun i -> float_of_int ((i * 7) mod 13) -. 6.0) in
-        Cg.solve ~config:capped ~precond:(bj a) a b );
   ]
 
 (* Recorded before the hot loops were rewritten. *)
@@ -395,7 +390,6 @@ let golden_expected =
     ("idr smoothing cage10", (87, "c5bcda1162b153068e093b7230d745fe"));
     ("bicgstab dw1024", (70, "7bbd73c66e4666bfdfca569c8ecb483f"));
     ("gmres cage10", (113, "37432fcf8760562db636cc35b86e5e2f"));
-    ("cg laplacian", (50, "52ecf57cb3dc08440cda8920ae40f2a1"));
   ]
 
 let golden_tests =

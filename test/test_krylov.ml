@@ -37,31 +37,6 @@ let tight = { Solver.default_config with Solver.rtol = 1e-10 }
 
 (* ------------------------------------------------------------------ *)
 
-let test_cg_spd () =
-  let a, b = spd_system 1 in
-  let x, stats = Cg.solve ~config:tight a b in
-  Alcotest.(check bool) "converged" true (Solver.converged stats);
-  check_solution "cg" a b x 1e-7
-
-let test_cg_preconditioned_fewer_iterations () =
-  (* SPD anisotropic problem; 32-wide blocks are exactly the strongly
-     coupled grid lines, so block-Jacobi acts as a line smoother. *)
-  let a = Vblu_workloads.Generators.anisotropic_2d ~nx:32 ~ny:8 ~epsilon:0.05 () in
-  let n, _ = Csr.dims a in
-  let b = Array.make n 1.0 in
-  let _, plain = Cg.solve a b in
-  let precond, _ =
-    Block_jacobi.create ~blocking:(Supervariable.uniform ~n ~block_size:32) a
-  in
-  let _, pre = Cg.solve ~precond a b in
-  Alcotest.(check bool) "both converge" true
-    (Solver.converged plain && Solver.converged pre);
-  Alcotest.(check bool)
-    (Printf.sprintf "preconditioning helps (%d vs %d)" pre.Solver.iterations
-       plain.Solver.iterations)
-    true
-    (pre.Solver.iterations <= plain.Solver.iterations)
-
 let test_bicgstab_nonsymmetric () =
   let a, b = nonsym_system 2 in
   let x, stats = Bicgstab.solve ~config:tight a b in
@@ -130,7 +105,7 @@ let test_idr_smoothing () =
 let test_max_iterations () =
   let a, b = spd_system 7 in
   let config = { Solver.default_config with Solver.max_iters = 3 } in
-  let _, stats = Cg.solve ~config a b in
+  let _, stats = Gmres.solve ~config a b in
   Alcotest.(check bool) "hits cap" true
     (stats.Solver.outcome = Solver.Max_iterations);
   Alcotest.(check int) "counted" 3 stats.Solver.iterations
@@ -138,10 +113,10 @@ let test_max_iterations () =
 let test_history_recorded () =
   let a, b = spd_system 8 in
   let config = { Solver.default_config with Solver.record_history = true } in
-  let _, stats = Cg.solve ~config a b in
+  let _, stats = Gmres.solve ~config a b in
   Alcotest.(check bool) "history non-empty" true
     (Array.length stats.Solver.history > 2);
-  (* CG on SPD: the recurrence residual should shrink overall. *)
+  (* The residual should shrink overall. *)
   let h = stats.Solver.history in
   Alcotest.(check bool) "decreases" true
     (h.(Array.length h - 1) < h.(0) /. 1e4)
@@ -158,7 +133,6 @@ let test_zero_rhs () =
       Alcotest.(check bool) (name ^ " returns zero") true
         (Vector.norm_inf x = 0.0))
     [
-      ("cg", fun a b -> Cg.solve a b);
       ("bicgstab", fun a b -> Bicgstab.solve a b);
       ("idr", fun a b -> Idr.solve a b);
       ("gmres", fun a b -> Gmres.solve a b);
@@ -168,7 +142,7 @@ let test_dimension_mismatch () =
   let a, _ = spd_system 10 in
   Alcotest.check_raises "bad rhs"
     (Invalid_argument "Krylov: rhs dimension mismatch") (fun () ->
-      ignore (Cg.solve a [| 1.0 |]))
+      ignore (Bicgstab.solve a [| 1.0 |]))
 
 let test_final_residual_is_true_residual () =
   let a, b = nonsym_system 11 in
@@ -204,7 +178,6 @@ let test_breakdown_reported () =
         | Solver.Converged -> false
         | Solver.Breakdown _ | Solver.Max_iterations -> true))
     [
-      ("cg", fun a b config -> Cg.solve ~config a b);
       ("bicgstab", fun a b config -> Bicgstab.solve ~config a b);
       ("idr", fun a b config -> Idr.solve ~config a b);
       ("gmres", fun a b config -> Gmres.solve ~config a b);
@@ -276,14 +249,6 @@ let qcheck_tests =
         let x, stats = Idr.solve ~precond a b in
         Solver.converged stats
         && Vector.max_abs_diff x x_true /. (1.0 +. Vector.norm_inf x_true) < 1e-3);
-    QCheck.Test.make ~count:15 ~name:"cg iterations bounded by dimension"
-      QCheck.(int_range 3 8)
-      (fun k ->
-        let a = laplacian k k in
-        let n, _ = Csr.dims a in
-        let b = Array.make n 1.0 in
-        let _, stats = Cg.solve ~config:tight a b in
-        Solver.converged stats && stats.Solver.iterations <= n + 2);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -292,9 +257,6 @@ let () =
     [
       ( "convergence",
         [
-          Alcotest.test_case "cg on spd" `Quick test_cg_spd;
-          Alcotest.test_case "cg preconditioned" `Quick
-            test_cg_preconditioned_fewer_iterations;
           Alcotest.test_case "bicgstab" `Quick test_bicgstab_nonsymmetric;
           Alcotest.test_case "gmres" `Quick test_gmres_nonsymmetric;
           Alcotest.test_case "idr" `Quick test_idr_nonsymmetric;

@@ -217,44 +217,19 @@ let test_mm_file_roundtrip () =
   Alcotest.(check bool) "file roundtrip" true (Csr.equal ~tol:1e-15 a b)
 
 (* ------------------------------------------------------------------ *)
-(* Reordering                                                          *)
-
-let test_rcm_is_permutation () =
-  let a = Vblu_workloads.Generators.laplacian_2d ~nx:8 ~ny:8 () in
-  let p = Reorder.reverse_cuthill_mckee a in
-  Alcotest.(check (list int)) "permutation" (List.init 64 (fun i -> i))
-    (List.sort compare (Array.to_list p))
-
-let test_rcm_reduces_bandwidth () =
-  let a = Vblu_workloads.Generators.laplacian_2d ~nx:10 ~ny:10 () in
-  (* Scramble, then ask RCM to recover locality. *)
-  let scramble = Reorder.random ~state:(Random.State.make [| 4 |]) 100 in
-  let scrambled = Csr.permute_symmetric a scramble in
-  let p = Reorder.reverse_cuthill_mckee scrambled in
-  let restored = Csr.permute_symmetric scrambled p in
-  Alcotest.(check bool)
-    (Printf.sprintf "bandwidth %d -> %d" (Csr.bandwidth scrambled)
-       (Csr.bandwidth restored))
-    true
-    (Csr.bandwidth restored < Csr.bandwidth scrambled)
-
-let test_rcm_disconnected () =
-  (* Two disconnected 2x2 blocks. *)
-  let m =
-    Matrix.of_rows
-      [|
-        [| 2.0; 1.0; 0.0; 0.0 |];
-        [| 1.0; 2.0; 0.0; 0.0 |];
-        [| 0.0; 0.0; 2.0; 1.0 |];
-        [| 0.0; 0.0; 1.0; 2.0 |];
-      |]
-  in
-  let p = Reorder.reverse_cuthill_mckee (Csr.of_dense m) in
-  Alcotest.(check (list int)) "covers all vertices" [ 0; 1; 2; 3 ]
-    (List.sort compare (Array.to_list p))
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
+
+(* A uniformly random permutation of [0 .. n-1] (Fisher-Yates). *)
+let shuffle seed n =
+  let st = Random.State.make [| seed |] in
+  let p = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  p
 
 let qcheck_tests =
   let gen = QCheck.(pair (int_bound 10_000) (int_range 2 20)) in
@@ -274,7 +249,7 @@ let qcheck_tests =
     QCheck.Test.make ~count:50 ~name:"symmetric permutation preserves spmv" gen
       (fun (seed, n) ->
         let a = Csr.of_dense (random_dense seed n n) in
-        let p = Reorder.random ~state:(Random.State.make [| seed |]) n in
+        let p = shuffle seed n in
         let b = Csr.permute_symmetric a p in
         let x = Vector.random ~state:(Random.State.make [| seed + 1 |]) n in
         let px = Array.map (fun i -> x.(i)) p in
@@ -313,12 +288,6 @@ let () =
           Alcotest.test_case "pattern" `Quick test_mm_pattern;
           Alcotest.test_case "errors" `Quick test_mm_errors;
           Alcotest.test_case "file roundtrip" `Quick test_mm_file_roundtrip;
-        ] );
-      ( "reorder",
-        [
-          Alcotest.test_case "rcm permutation" `Quick test_rcm_is_permutation;
-          Alcotest.test_case "rcm bandwidth" `Quick test_rcm_reduces_bandwidth;
-          Alcotest.test_case "rcm disconnected" `Quick test_rcm_disconnected;
         ] );
       ("properties", qcheck_tests);
     ]
