@@ -60,6 +60,20 @@ let policy_arg =
     & opt policy_conv Vblu_precond.Block_jacobi.Identity_block
     & info [ "breakdown-policy" ] ~docv:"POLICY" ~doc)
 
+(* Every block must fit one warp: a bound outside 1..32 is a usage error,
+   not a failure deep inside the setup. *)
+let block_size_arg ~default ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some b when b >= 1 && b <= Vblu_precond.Supervariable.warp_width -> Ok b
+    | _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "block size %s outside the warp range 1..%d" s
+              Vblu_precond.Supervariable.warp_width))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) default & info [ "block-size" ] ~doc)
+
 let faults_conv =
   let parse s =
     match Vblu_fault.Fault.Plan.of_spec s with
@@ -390,11 +404,7 @@ let solve_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"MATRIX.mtx" ~doc:"Matrix Market file to solve.")
   in
-  let bound =
-    Arg.(
-      value & opt int 32
-      & info [ "block-size" ] ~doc:"Supervariable agglomeration bound.")
-  in
+  let bound = block_size_arg ~default:32 ~doc:"Supervariable agglomeration bound." in
   let variant =
     let variant_conv =
       Arg.enum
@@ -518,11 +528,7 @@ let solve_cmd =
       $ recovery_arg $ trace_arg $ metrics_arg)
 
 let levels_cmd =
-  let bound =
-    Arg.(
-      value & opt int 16
-      & info [ "block-size" ] ~doc:"Supervariable agglomeration bound.")
-  in
+  let bound = block_size_arg ~default:16 ~doc:"Supervariable agglomeration bound." in
   let matrix =
     Arg.(
       value
@@ -645,10 +651,8 @@ let improvement_summary ppf (study : Precond_study.t) =
 
 let precond_cmd =
   let bound =
-    Arg.(
-      value & opt int 16
-      & info [ "block-size" ]
-          ~doc:"Supervariable agglomeration bound shared by every family.")
+    block_size_arg ~default:16
+      ~doc:"Supervariable agglomeration bound shared by every family."
   in
   let run quick bound subdomains overlap domains policy trace metrics =
     setup_logs ();
