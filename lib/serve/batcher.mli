@@ -3,13 +3,12 @@
     Takes many independent preconditioner setup+apply problems and runs
     the block-Jacobi ones as {e one} shared variable-size batch launch
     (block-ILU(0) requests ride the same wave through their own batched
-    setups): every block-Jacobi problem is
-    partitioned with the same supervariable blocking as
-    {!Vblu_precond.Block_jacobi.create}, all resulting diagonal blocks
-    from all problems are packed into a single {!Vblu_core.Batch.t}, and
-    one {!Vblu_core.Batched_lu.factor} plus one
-    {!Vblu_core.Batched_trsv.solve} launch serve everyone — the
-    amortization the paper's batched kernels exist for.
+    setups): one {!Vblu_precond.Block_jacobi.refresh} — the setup engine
+    of {!Vblu_precond.Block_jacobi.create} run over every problem's
+    handle — factors all of their diagonal blocks in one
+    {!Vblu_core.Batched_lu.factor} launch, and one
+    {!Vblu_core.Batched_trsv.solve} wave applies them — the amortization
+    the paper's batched kernels exist for.
 
     Bit-identity contract: the batched warp kernels replicate the
     {!Vblu_smallblas} reference op schedules exactly, so the per-problem
@@ -96,7 +95,8 @@ val run :
     [?cache] enables cross-wave setup reuse for recurring problems (see
     {!Setup_cache}): blocks whose fingerprinted setup is bitwise current
     skip the factorization launch, without changing any returned [y] —
-    reused factors are the bits a fresh launch would compute.  The cache
+    reused factors are the bits a fresh launch would compute.  Blocks
+    that broke down or were fault-flagged refactor at the next wave.  The cache
     is bypassed whenever a fault plan is armed.  Records
     [precond.setup.*] metrics per family when [?obs] is given.
     @raise Invalid_argument on an invalid problem — callers are expected
