@@ -118,6 +118,13 @@ type info = {
           fallback), ascending; also counted in [degraded_blocks]. *)
 }
 
+(** A block's setup outcome — also a block row's in {!Block_ilu0}. *)
+type outcome = Healthy | Degraded | Perturbed | Recovered | Corrupt
+
+val info_of : Supervariable.blocking -> outcome array -> info
+(** The block-order fold of per-block outcomes into {!info}: every list
+    ascending, [Corrupt] blocks counted in [degraded_blocks] too. *)
+
 val create :
   ?pool:Pool.t ->
   ?prec:Precision.t ->
@@ -194,6 +201,24 @@ type update_stats = {
           launches. *)
   modelled_seconds : float;  (** modelled kernel time of those launches. *)
 }
+
+type tally
+(** Running modelled cost of the launches one setup or refresh issues. *)
+
+val new_tally : unit -> tally
+val note : tally -> Vblu_simt.Launch.stats -> unit
+(** [note t stats] adds one launch, its transactions and modelled time. *)
+
+val stats_of : blocks:int -> int array -> tally -> update_stats
+(** [stats_of ~blocks dirty t]: the stats of a refresh of the ascending
+    [dirty] indices out of [blocks], at the cost [t] recorded. *)
+
+val check_pattern :
+  who:string -> row_ptr:int array -> col_idx:int array -> Csr.t -> unit
+(** The refresh boundary check: [a] must be square with the frozen CSR
+    pattern [row_ptr]/[col_idx].
+    @raise Invalid_argument naming [who] on a dimension or pattern
+    mismatch. *)
 
 val handle :
   ?pool:Pool.t ->

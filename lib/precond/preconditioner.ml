@@ -19,3 +19,10 @@ let timed f =
   let t0 = Wall_clock.now () in
   let x = f () in
   (x, Wall_clock.since t0)
+
+let instrument ~obs ~span ~counter apply =
+  if Vblu_obs.Ctx.enabled obs then fun r ->
+    Vblu_obs.Ctx.with_span obs ~cat:"precond" span (fun () ->
+        Vblu_obs.Ctx.incr obs counter 1.0;
+        apply r)
+  else apply

@@ -26,3 +26,15 @@ val timed : (unit -> 'a) -> 'a * float
 (** [timed f] runs [f] and reports its elapsed wall time in seconds, read
     from {!Wall_clock} — the clock used for every setup/solve time in the
     reproduction. *)
+
+val instrument :
+  obs:Vblu_obs.Ctx.t option ->
+  span:string ->
+  counter:string ->
+  (Vector.t -> Vector.t) ->
+  Vector.t ->
+  Vector.t
+(** [instrument ~obs ~span ~counter apply]: with an enabled context every
+    application records a [span] (category ["precond"]) and bumps
+    [counter]; without one the bare [apply] is returned untouched.  The
+    apply wrapper of every preconditioner family. *)
