@@ -34,6 +34,15 @@
     factorization and solve — the equivalence the test suite checks.
     Apply is bit-identical across domain counts and storage layouts.
 
+    One setup path serves {!create}, {!handle} and {!update}: a handle
+    owns the elimination state, and one refresh re-fills, re-eliminates
+    and restages a mask of block rows — every row for a build, the
+    drifted rows and their lower-DAG closure for an update — then
+    snapshots the values.  One report follows every build and refresh:
+    the [Fail] raise, an ["ilu0.setup"] span and the [precond.ilu0.*]
+    metrics.  {!create} is a build over a throw-away handle; it alone
+    takes a fault plan and ABFT.
+
     Breakdown of a diagonal block never raises mid-elimination: the
     batched kernels flag it in [info], and the {!Block_jacobi}
     [breakdown_policy] decides between identity fallback, an
@@ -41,7 +50,7 @@
     wave), or failing after setup completes.  [~abft:true] verifies the
     factor launches by row checksums; a flagged block is refactored once
     in the wave's rescue launch and degraded to the identity if still
-    failing.
+    failing.  Outcomes use {!Block_jacobi}'s vocabulary and fold.
 
     Concurrency caveat (same as {!Block_jacobi}): one preconditioner
     value must not be applied from several threads at once — the staged
@@ -51,8 +60,10 @@ open Vblu_smallblas
 open Vblu_sparse
 
 exception Singular_block of { block : int }
-(** Raised by {!create} under the [Fail] breakdown policy for the first
-    (smallest index) block whose eliminated diagonal was singular. *)
+(** Raised by {!create}, {!handle} and {!update} under the [Fail]
+    breakdown policy, once the build or refresh has completed, for the
+    first (smallest index) block row whose eliminated diagonal was
+    singular. *)
 
 (** Modelled cost of one batched wave of the most recent apply. *)
 type wave = {
@@ -115,10 +126,12 @@ val create :
     selects the storage layout of every staged batch; [policy] (default
     [Identity_block]) handles singular diagonal blocks.
 
-    [?obs] records the setup (an ["ilu0.setup"] span, the
+    [?obs] records the setup (a zero-duration ["ilu0.setup"] span, the
     [precond.ilu0.*] labelled registry metrics — setup seconds, level
-    counts, per-level occupancy, degraded blocks — plus every kernel
+    counts, per-level occupancy, outcome counts — plus every kernel
     launch) and wraps the returned apply in an ["ilu0.apply"] span.
+    [?faults] corrupts claimed sites inside the factor launches;
+    [~abft:true] checks them (see the module header).
     @raise Invalid_argument if [a] is not square, a diagonal block
     exceeds the warp width, or the blocking is invalid.
     @raise Singular_block under the [Fail] policy. *)
@@ -128,14 +141,14 @@ val create :
     The sparsity pattern — hence the blocking, both level schedules, and
     every dependency list — is invariant under value drift, so a
     {!handle} keeps the elimination state alive across time steps and
-    {!update} re-runs only the dirty part: block rows whose own entries
-    moved past the tolerance, closed over the lower elimination DAG (a
-    row whose dependency re-eliminated has changed inputs and must
-    re-eliminate too).  Elimination waves with no dirty rows issue no
-    launches.  Clean rows keep their post-elimination blocks and factors
-    bitwise, so [update ~tol:0.] is bit-identical to a fresh setup.
-    Handles take no fault plan and no ABFT — amortization targets the
-    fault-free steady state. *)
+    {!update} runs the same refresh as the build over only the dirty
+    part: block rows whose own entries moved past the tolerance, closed
+    over the lower elimination DAG (a row whose dependency re-eliminated
+    has changed inputs and must re-eliminate too).  Elimination waves
+    with no dirty rows issue no launches.  Clean rows keep their
+    post-elimination blocks and factors bitwise, so [update ~tol:0.] is
+    bit-identical to a fresh setup.  Handles take no fault plan and no
+    ABFT — amortization targets the fault-free steady state. *)
 
 type handle
 
@@ -149,10 +162,11 @@ val handle :
   ?obs:Vblu_obs.Ctx.t ->
   Csr.t ->
   handle
-(** [handle a] runs the same batched elimination as {!create} (same
-    launches, same factors bitwise) but keeps the working state for
-    later {!update} calls.  The returned {!precond} stays valid across
-    refreshes — updates swap the staged apply waves in place.
+(** [handle a] is {!create}'s build (same launches, same factors
+    bitwise, same [?obs] records) kept for later {!update} calls; it also
+    records [precond.setup.*] metrics.  The returned {!precond} stays
+    valid across refreshes — updates swap the staged apply waves in
+    place.
     @raise Invalid_argument / [Singular_block] as {!create}. *)
 
 val update :
@@ -165,20 +179,23 @@ val update :
     baseline).  [dirty_blocks]/[refactored]/[reused] in the returned
     stats count block rows; [launches]/[setup_transactions]/
     [modelled_seconds] cover the TRSM/GEMM/LU waves actually issued.
-    Records [precond.setup.*] metrics when the handle carries an
-    observability context.
+    When the handle carries an observability context, records the
+    ["ilu0.setup"] span and [precond.ilu0.*] metrics {!create} records
+    (launches, modelled time and seconds of this refresh) plus
+    [precond.setup.*] metrics.
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
-    @raise Singular_block under the [Fail] policy when a dirty row
-    breaks down (the handle is left partially refreshed). *)
+    @raise Singular_block under the [Fail] policy when a block row is
+    broken down after the refresh (the refreshed rows and stats are
+    already installed). *)
 
 val precond : handle -> Preconditioner.t
 val last_update : handle -> Block_jacobi.update_stats
 (** Stats of the most recent build or refresh. *)
 
 val handle_info : handle -> info
-(** The {!info} record rebuilt from the current per-row state;
-    [setup_launches]/[setup_modelled_seconds] cover the most recent
-    build or refresh. *)
+(** The {!info} record rebuilt from the current per-row state — the one
+    {!create} returns; [setup_launches]/[setup_modelled_seconds] cover
+    the most recent build or refresh. *)
 
 val handle_factors : handle -> (Matrix.t * int array) array
 (** Per-block-row diagonal factors (normal storage) and pivots —
