@@ -13,6 +13,15 @@ type problem = {
   precond : precond;
 }
 
+(* Index of the first non-finite entry of [v]. *)
+let first_non_finite v =
+  let rec from i =
+    if i >= Array.length v then None
+    else if Float.is_finite v.(i) then from (i + 1)
+    else Some i
+  in
+  from 0
+
 let validate p =
   let n, cols = Csr.dims p.a in
   if n <> cols then
@@ -25,7 +34,18 @@ let validate p =
     Error
       (Printf.sprintf "max_block_size %d outside the warp range 1..32"
          p.max_block_size)
-  else Ok ()
+  else
+    match (first_non_finite p.a.Csr.values, first_non_finite p.rhs) with
+    | Some q, _ ->
+      let row = ref 0 in
+      while p.a.Csr.row_ptr.(!row + 1) <= q do
+        incr row
+      done;
+      Error
+        (Printf.sprintf "non-finite matrix entry %g at (%d, %d)" p.a.Csr.values.(q)
+           !row p.a.Csr.col_idx.(q))
+    | None, Some i -> Error (Printf.sprintf "non-finite rhs entry %g at index %d" p.rhs.(i) i)
+    | None, None -> Ok ()
 
 type outcome = {
   y : Vector.t;

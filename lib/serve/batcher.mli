@@ -41,9 +41,13 @@ type problem = {
 }
 
 val validate : problem -> (unit, string) result
-(** Admission-time shape check: square matrix, matching rhs length,
-    block bound within the warp width.  Returns the rejection reason —
-    the service refuses invalid work at submit, never mid-launch. *)
+(** Admission-time check: square matrix, matching rhs length, block
+    bound within the warp width, and every stored matrix value and rhs
+    entry finite.  Returns the rejection reason — the first failed check,
+    naming the first non-finite matrix entry by (row, column) or rhs
+    entry by index — so the service refuses invalid work at submit,
+    never mid-launch, and a data error never reaches a launch where it
+    could pass for a fault. *)
 
 type outcome = {
   y : Vector.t;  (** the preconditioner application [M^{-1} rhs]. *)

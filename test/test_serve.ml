@@ -285,6 +285,21 @@ let test_batcher_validate () =
   (match Batcher.validate { p with Batcher.max_block_size = 33 } with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted block bound > 32");
+  (* Non-finite data is rejected at admission, naming its position. *)
+  let values = Array.copy p.Batcher.a.Csr.values in
+  values.(2) <- Float.nan;
+  let a =
+    Csr.create ~n_rows:2 ~n_cols:2 ~row_ptr:p.Batcher.a.Csr.row_ptr
+      ~col_idx:p.Batcher.a.Csr.col_idx ~values
+  in
+  (match Batcher.validate { p with Batcher.a } with
+  | Error e ->
+    Alcotest.(check string) "NaN matrix entry named" "non-finite matrix entry nan at (1, 0)" e
+  | Ok () -> Alcotest.fail "accepted a NaN matrix entry");
+  (match Batcher.validate { p with Batcher.rhs = [| 3.0; Float.infinity |] } with
+  | Error e ->
+    Alcotest.(check string) "Inf rhs entry named" "non-finite rhs entry inf at index 1" e
+  | Ok () -> Alcotest.fail "accepted an Inf rhs entry");
   match Batcher.validate p with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected valid problem: %s" e
