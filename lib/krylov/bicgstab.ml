@@ -87,10 +87,15 @@ let solve ?(prec = Precision.Double) ?precond
         Vector.blit ~src:r ~dst:s;
         Vector.axpy ~prec (-. !alpha) v s;
         let snorm = Vector.nrm2 ~prec s in
-        if snorm <= ctx.Solver.target then begin
+        (* Each half-step counts as an iteration, so the cap is checked
+           here as well as after the second one. *)
+        if snorm <= ctx.Solver.target || !iters >= config.Solver.max_iters then begin
           Vector.axpy ~prec !alpha phat x;
           Solver.record ctx snorm;
-          outcome := Some Solver.Converged
+          outcome :=
+            Some
+              (if snorm <= ctx.Solver.target then Solver.Converged
+               else Solver.Max_iterations)
         end
         else begin
           let shat = apply_m s in

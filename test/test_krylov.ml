@@ -102,13 +102,21 @@ let test_idr_smoothing () =
   done;
   Alcotest.(check bool) "monotone history" true !monotone
 
+(* An odd cap: BiCGSTAB counts both half-steps of an iteration, so it
+   must also stop between them. *)
 let test_max_iterations () =
   let a, b = spd_system 7 in
   let config = { Solver.default_config with Solver.max_iters = 3 } in
-  let _, stats = Gmres.solve ~config a b in
-  Alcotest.(check bool) "hits cap" true
-    (stats.Solver.outcome = Solver.Max_iterations);
-  Alcotest.(check int) "counted" 3 stats.Solver.iterations
+  List.iter
+    (fun (name, solve) ->
+      let _, stats = solve a b in
+      Alcotest.(check bool) (name ^ " hits cap") true
+        (stats.Solver.outcome = Solver.Max_iterations);
+      Alcotest.(check int) (name ^ " counted") 3 stats.Solver.iterations)
+    [
+      ("gmres", fun a b -> Gmres.solve ~config a b);
+      ("bicgstab", fun a b -> Bicgstab.solve ~config a b);
+    ]
 
 let test_history_recorded () =
   let a, b = spd_system 8 in
